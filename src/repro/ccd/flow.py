@@ -315,10 +315,10 @@ def snapshot_netlist_state(
 def restore_netlist_state(netlist: Netlist, state: NetlistState) -> None:
     """Undo flow mutations: drop inserted buffers, restore sizes and wiring."""
     # Remove cells/nets appended after the snapshot (buffer insertions only
-    # ever append, never reorder).
+    # ever append, never reorder), and only their names: O(inserted cells).
+    for cell in netlist.cells[state.num_cells :]:
+        del netlist._name_to_cell[cell.name]
     del netlist.cells[state.num_cells :]
-    for name in [c for c in netlist._name_to_cell if netlist._name_to_cell[c] >= state.num_cells]:
-        del netlist._name_to_cell[name]
     del netlist.nets[state.num_nets :]
     for cell, size_index in zip(netlist.cells, state.size_indices):
         cell.size_index = size_index

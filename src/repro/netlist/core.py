@@ -16,7 +16,11 @@ Terminology follows STA practice:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.netlist.library import CellSize, CellType, Library
 
@@ -59,11 +63,11 @@ class Cell:
 
     @property
     def is_input_port(self) -> bool:
-        return self.cell_type.is_port and self.cell_type.num_inputs == 0
+        return self.cell_type.is_input_port
 
     @property
     def is_output_port(self) -> bool:
-        return self.cell_type.is_port and self.cell_type.num_inputs == 1
+        return self.cell_type.is_output_port
 
     @property
     def is_endpoint(self) -> bool:
@@ -105,6 +109,203 @@ class Net:
 
     def __repr__(self) -> str:
         return f"Net({self.index}, {self.name!r}, driver={self.driver}, fanout={self.fanout})"
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum of ``values``, as a scalar ``total += v`` loop adds.
+
+    ``np.sum`` adds pairwise and rounds differently; the last running sum
+    of ``np.cumsum`` keeps the loop's order and so its result bit for bit.
+    """
+    if values.size == 0:
+        return 0.0
+    return float(np.cumsum(values)[-1])
+
+
+#: Coefficients of the selected :class:`CellSize` gathered per cell.
+_SIZE_FIELDS = (
+    "intrinsic_delay",
+    "drive_resistance",
+    "input_cap",
+    "slew_intrinsic",
+    "slew_load_factor",
+    "slew_sensitivity",
+    "internal_power",
+    "leakage_power",
+    "area",
+)
+#: Sequential constraints gathered per cell (0.0 for non-sequential types).
+_SEQ_FIELDS = ("clk_to_q", "setup_time", "hold_time")
+_VALUE_FIELDS = _SIZE_FIELDS + _SEQ_FIELDS
+
+
+class NetlistArrays:
+    """Struct-of-arrays view of a netlist's current state, built in O(n).
+
+    Per cell: the row of its ``(cell type, size)`` in a coefficient table
+    (:meth:`size_column` gathers one coefficient for every cell), type
+    flags, placement and toggle rate, and, gathered on first use, the
+    ``(n, max_pins)`` fan-in net matrix and the driven net.  Per net: the
+    driver, and the sinks in CSR form: net ``j``'s sinks are
+    ``sink_cells[sink_indptr[j]:sink_indptr[j + 1]]`` in ``net.sinks``
+    order.
+
+    A view serves one whole-design pass: build it, read it, drop it.  It is
+    never cached: placement, netlist I/O, the generators and snapshot
+    restores write ``x``, ``size_index`` and ``toggle_rate`` directly
+    without bumping ``Netlist.mutation_version``, so a kept copy could go
+    stale.  Coefficient columns and the pin matrices are gathered only when
+    a pass reads them, which keeps the view small next to a live timing
+    analyzer.
+    """
+
+    def __init__(self, netlist: Netlist):
+        cells = netlist.cells
+        self._cells = cells
+        n = len(cells)
+        distinct = {id(cell.cell_type): cell.cell_type for cell in cells}
+        first_row: Dict[int, int] = {}
+        value_rows: List[Tuple[float, ...]] = []
+        flag_rows: List[Tuple[bool, ...]] = []
+        size_counts: List[int] = []
+        for type_id, ctype in distinct.items():
+            first_row[type_id] = len(value_rows)
+            seq = ctype.is_sequential
+            type_flags = (seq, ctype.is_input_port, ctype.is_output_port)
+            constraints = tuple(
+                getattr(ctype, name) if seq else 0.0 for name in _SEQ_FIELDS
+            )
+            for size in ctype.sizes:
+                value_rows.append(
+                    tuple(getattr(size, name) for name in _SIZE_FIELDS) + constraints
+                )
+                flag_rows.append(type_flags)
+                size_counts.append(len(ctype.sizes))
+        base = np.fromiter(
+            (first_row[id(cell.cell_type)] for cell in cells), np.int64, n
+        )
+        sizes = np.fromiter((cell.size_index for cell in cells), np.int64, n)
+        bad = (sizes < 0) | (sizes >= np.array(size_counts, dtype=np.int64)[base])
+        if bad.any():
+            first_bad = cells[int(np.flatnonzero(bad)[0])]
+            first_bad.cell_type.size(first_bad.size_index)  # raises IndexError
+        self.size_row = base + sizes
+        self._values = np.array(value_rows, dtype=np.float64).reshape(
+            -1, len(_VALUE_FIELDS)
+        )
+        flags = np.array(flag_rows, dtype=bool).reshape(-1, 3)[self.size_row]
+        self.is_flop = flags[:, 0].copy()
+        self.is_inport = flags[:, 1].copy()
+        self.is_outport = flags[:, 2].copy()
+        self._max_pins = max(
+            1, max((t.num_inputs for t in distinct.values()), default=1)
+        )
+        self.x = np.fromiter([cell.x for cell in cells], np.float64, n)
+        self.y = np.fromiter([cell.y for cell in cells], np.float64, n)
+        self.toggle_rate = np.fromiter(
+            [cell.toggle_rate for cell in cells], np.float64, n
+        )
+
+        nets = netlist.nets
+        m = len(nets)
+        self.net_driver = np.fromiter((net.driver for net in nets), np.int64, m)
+        sinks = [net.sinks for net in nets]
+        self.sink_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, sinks), np.int64, m), out=self.sink_indptr[1:])
+        sink_pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(sinks)),
+            np.int64,
+            2 * int(self.sink_indptr[-1]),
+        )
+        self.sink_cells = sink_pairs[0::2].copy()
+
+        self.port_cap = netlist.library.default_port_cap
+        self.wire_cap_per_um = netlist.library.wire_cap_per_um
+        self.parasitic_scale = netlist.parasitic_scale
+
+    @property
+    def num_nets(self) -> int:
+        return self.net_driver.size
+
+    def size_column(self, name: str) -> np.ndarray:
+        """One coefficient of every cell's selected size, as a fresh array.
+
+        ``name`` is a :class:`CellSize` field, or ``clk_to_q``,
+        ``setup_time`` or ``hold_time`` (0.0 for non-sequential cells).
+        """
+        return self._values[:, _VALUE_FIELDS.index(name)][self.size_row]
+
+    @cached_property
+    def fanin_net(self) -> np.ndarray:
+        """``(n, max_pins)`` net on each input pin, ``-1`` where none."""
+        fanins = [cell.fanin_nets for cell in self._cells]
+        pin_counts = np.fromiter(map(len, fanins), np.int64, len(fanins))
+        matrix = np.full((len(fanins), self._max_pins), -1, dtype=np.int64)
+        matrix[np.arange(self._max_pins) < pin_counts[:, None]] = np.fromiter(
+            (-1 if net is None else net for pins in fanins for net in pins),
+            np.int64,
+            int(pin_counts.sum()),
+        )
+        return matrix
+
+    @cached_property
+    def fanout_net(self) -> np.ndarray:
+        """``(n,)`` net each cell drives, ``-1`` where none."""
+        return np.fromiter(
+            (-1 if cell.fanout_net is None else cell.fanout_net for cell in self._cells),
+            np.int64,
+            len(self._cells),
+        )
+
+    def net_hpwls(self) -> np.ndarray:
+        """Every net's half-perimeter wirelength (``Netlist.net_hpwl``).
+
+        Max and min are exact, so each value equals the scalar one.
+        """
+        m = self.num_nets
+        if m == 0:
+            return np.zeros(0)
+        # Pin list per net: its driver, then its sinks.
+        heads = self.sink_indptr[:-1] + np.arange(m)
+        pins = np.empty(self.sink_cells.size + m, dtype=np.int64)
+        pins[heads] = self.net_driver
+        is_sink = np.ones(pins.size, dtype=bool)
+        is_sink[heads] = False
+        pins[is_sink] = self.sink_cells
+
+        def span(coord: np.ndarray) -> np.ndarray:
+            at_pins = coord[pins]
+            return np.maximum.reduceat(at_pins, heads) - np.minimum.reduceat(
+                at_pins, heads
+            )
+
+        return span(self.x) + span(self.y)
+
+    def net_load_caps(self) -> np.ndarray:
+        """Every net's load cap, bit for bit ``Netlist.net_load_cap`` per net.
+
+        The scalar loop adds sink pin caps in ``net.sinks`` order, so this
+        loops over pin position ``k`` across all nets at once: with nets
+        ordered by descending fanout, those with more than ``k`` sinks are
+        a prefix.
+        """
+        # Wire caps first: their temporaries are freed before the sink pass.
+        wire_caps = (self.parasitic_scale * self.wire_cap_per_um) * self.net_hpwls()
+        pin_cap = np.where(
+            self.is_outport, self.port_cap, self.size_column("input_cap")
+        )
+        fanout = np.diff(self.sink_indptr)
+        order = np.argsort(-fanout, kind="stable")
+        starts = self.sink_indptr[:-1][order]
+        more_than = self.num_nets - np.cumsum(np.bincount(fanout))
+        sink_caps = np.zeros(self.num_nets)
+        for k, count in enumerate(more_than.tolist()):
+            if count == 0:
+                break
+            sink_caps[:count] += pin_cap[self.sink_cells[starts[:count] + k]]
+        caps = np.empty_like(sink_caps)
+        caps[order] = sink_caps
+        return caps + wire_caps
 
 
 class Netlist:
@@ -239,6 +440,10 @@ class Netlist:
         )
         return cap
 
+    def net_load_caps(self) -> np.ndarray:
+        """Load cap of every net at once (see :meth:`NetlistArrays.net_load_caps`)."""
+        return NetlistArrays(self).net_load_caps()
+
     def net_hpwl(self, net_index: int) -> float:
         """Half-perimeter wirelength of a net's bounding box (µm)."""
         net = self.nets[net_index]
@@ -252,7 +457,7 @@ class Netlist:
 
     def total_hpwl(self) -> float:
         """Sum of net half-perimeter wirelengths (the placer's objective)."""
-        return sum(self.net_hpwl(i) for i in range(len(self.nets)))
+        return ordered_sum(NetlistArrays(self).net_hpwls())
 
     def total_cell_area(self) -> float:
         """Sum of placed cell areas (µm²) — the A in PPA reporting.
@@ -260,7 +465,7 @@ class Netlist:
         Grows when the data-path optimizer upsizes cells or inserts buffers;
         useful skew leaves it untouched.
         """
-        return sum(c.size.area for c in self.cells)
+        return ordered_sum(NetlistArrays(self).size_column("area"))
 
     # ------------------------------------------------------------------ #
     # mutation (data-path optimization moves)
@@ -303,7 +508,8 @@ class Netlist:
             location = (sum(xs) / len(xs), sum(ys) / len(ys))
         buf.x, buf.y = location
         # Rewire: subset sinks move to the new net.
-        net.sinks = [pair for pair in net.sinks if pair not in set(subset)]
+        moved = set(subset)
+        net.sinks = [pair for pair in net.sinks if pair not in moved]
         new_net = Net(index=len(self.nets), name=f"{net.name}_split{len(self.nets)}", driver=buf.index)
         self.nets.append(new_net)
         buf.fanout_net = new_net.index

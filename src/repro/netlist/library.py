@@ -83,6 +83,14 @@ class CellType:
     def max_size_index(self) -> int:
         return len(self.sizes) - 1
 
+    @property
+    def is_input_port(self) -> bool:
+        return self.is_port and self.num_inputs == 0
+
+    @property
+    def is_output_port(self) -> bool:
+        return self.is_port and self.num_inputs == 1
+
     def size(self, index: int) -> CellSize:
         """The :class:`CellSize` at ``index`` (bounds-checked)."""
         if not 0 <= index < len(self.sizes):

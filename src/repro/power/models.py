@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.netlist.core import Netlist
+from repro.netlist.core import Netlist, NetlistArrays, ordered_sum
 from repro.timing.clock import ClockModel
 
 # Folds V² and unit conversion into one constant (mW per fF·GHz·toggle).
@@ -67,14 +67,19 @@ def net_switching_power(netlist: Netlist, net_index: int, frequency_ghz: float) 
 
 
 def report_power(netlist: Netlist, clock: ClockModel) -> PowerReport:
-    """Total design power under ``clock`` (frequency = 1/period GHz)."""
+    """Total design power under ``clock`` (frequency = 1/period GHz).
+
+    The per-cell and per-net terms above, evaluated over one
+    :class:`~repro.netlist.core.NetlistArrays` view, each component summed
+    in cell (net) order.
+    """
     frequency = 1.0 / clock.period
-    internal = 0.0
-    leakage = 0.0
-    for cell in netlist.cells:
-        internal += cell.size.internal_power * cell.toggle_rate
-        leakage += cell.size.leakage_power
-    switching = sum(
-        net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
+    view = NetlistArrays(netlist)
+    switching = (
+        _SWITCHING_COEFF * view.toggle_rate[view.net_driver] * view.net_load_caps()
+    ) * frequency
+    return PowerReport(
+        internal=ordered_sum(view.size_column("internal_power") * view.toggle_rate),
+        leakage=ordered_sum(view.size_column("leakage_power")),
+        switching=ordered_sum(switching),
     )
-    return PowerReport(internal=internal, leakage=leakage, switching=switching)

@@ -19,8 +19,12 @@ view: ``slack_with_margins = slack − margin`` so that downstream engines see
 artificially worsened endpoints while the true timing state is untouched —
 exactly how the paper applies and later removes margins.
 
-Designs here are a few thousand cells, so a full (re)compile + analysis is a
-few milliseconds; the CCD engines simply re-run STA after each move batch.
+Designs run from the ~1K-cell Table-II blocks to 200K-cell scale designs.
+:func:`compile_timing` builds the array form with one pass over
+:class:`~repro.netlist.core.NetlistArrays` and reruns only after structural
+edits (buffer insertion) or unnotified mutations; resizes are patched into
+the compiled view in place, and ``analyze()`` re-propagates incrementally
+(:mod:`repro.timing.incremental`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, TYPE_CHECKING
 import numpy as np
 
 from repro import obs
-from repro.netlist.core import Netlist
+from repro.netlist.core import Netlist, NetlistArrays
 from repro.timing.clock import ClockModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -78,16 +82,20 @@ def peak_rss_mb() -> float:
 
 @dataclass
 class CompiledTiming:
-    """Array form of the netlist's timing graph (rebuilt after mutations).
+    """Array form of the netlist's timing graph at one corner.
 
-    Besides the dense ``(n, max_pins)`` fanin layout (pin counts are bounded
-    by the library, so the pad is small), the compile also emits a CSR
-    fanout adjacency (``fanout_indptr``/``fanout_indices``/
-    ``fanout_wire_delay``, the PR-5 cone-CSR pattern) plus per-cell level
-    and endpoint-position maps — the layout the vectorized frontier kernels
-    in :mod:`repro.timing.incremental` gather over.  Resizes never change
-    topology or wire lengths, so :meth:`TimingAnalyzer.notify_resize` leaves
-    all of these untouched.
+    Built by :func:`compile_timing` from a fresh
+    :class:`~repro.netlist.core.NetlistArrays` view; rebuilt only after a
+    structural edit or an unnotified mutation.  Besides the per-cell
+    coefficients and load caps and the dense ``(n, max_pins)`` fanin
+    layout (pin counts are bounded by the library, so the pad is small), it
+    holds a CSR fanout adjacency (``fanout_indptr``/``fanout_indices``/
+    ``fanout_wire_delay``) plus per-cell level and endpoint-position maps —
+    the layout the vectorized frontier kernels in
+    :mod:`repro.timing.incremental` gather over.  Resizes never change
+    topology or wire lengths: :meth:`TimingAnalyzer.notify_resize` patches
+    the resized cell's coefficients and its drivers' load caps in place and
+    leaves the rest untouched.
     """
 
     netlist: Netlist
@@ -366,70 +374,51 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     """Build the array representation of the current netlist state.
 
     ``derate`` scales every delay-producing coefficient (intrinsic, drive,
-    slew factors, wire delay) — the standard corner model: a *slow* corner
-    derates late (>1), a *fast* corner derates early (<1).  Capacitances
-    and sequential setup/hold constraints are corner-independent here.
+    slew factors, clock-to-Q, wire delay) — the standard corner model: a
+    *slow* corner derates late (>1), a *fast* corner derates early (<1).
+    Capacitances and sequential setup/hold constraints are
+    corner-independent here.
+
+    Every field is an array gather over one :class:`NetlistArrays` view and
+    equals the per-cell scalar evaluation bit for bit (the sum-order rule
+    in ``docs/timing.md``).
     """
     if derate <= 0:
         raise ValueError(f"derate must be positive, got {derate}")
+    view = NetlistArrays(netlist)
     n = netlist.num_cells
-    max_pins = max((c.cell_type.num_inputs for c in netlist.cells), default=1)
-    max_pins = max(max_pins, 1)
 
-    fanin_idx = np.full((n, max_pins), _NO_DRIVER, dtype=np.int64)
-    fanin_wire = np.zeros((n, max_pins), dtype=np.float64)
-    load_cap = np.zeros(n, dtype=np.float64)
-    intrinsic = np.zeros(n)
-    drive_res = np.zeros(n)
-    slew_sens = np.zeros(n)
-    slew_intr = np.zeros(n)
-    slew_load = np.zeros(n)
-    is_flop = np.zeros(n, dtype=bool)
-    is_inport = np.zeros(n, dtype=bool)
-    is_outport = np.zeros(n, dtype=bool)
-    clk_to_q = np.zeros(n)
-    setup = np.zeros(n)
-    hold = np.zeros(n)
-
+    # One (sink, pin) edge per connected fan-in pin, in row-major order.
+    # The view's fan-in net matrix is this call's own, so it becomes the
+    # fan-in driver matrix in place (-1 stays _NO_DRIVER).
+    fanin_idx = view.fanin_net
+    sink_rows, sink_pins = np.nonzero(fanin_idx >= 0)
+    edge_drivers = view.net_driver[fanin_idx[sink_rows, sink_pins]]
+    fanin_idx[sink_rows, sink_pins] = edge_drivers
     wire_coeff = (
         derate * netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
     )
+    dist = np.abs(view.x[edge_drivers] - view.x[sink_rows]) + np.abs(
+        view.y[edge_drivers] - view.y[sink_rows]
+    )
+    edge_wire = wire_coeff * dist
+    fanin_wire = np.zeros(fanin_idx.shape, dtype=np.float64)
+    fanin_wire[sink_rows, sink_pins] = edge_wire
 
-    for cell in netlist.cells:
-        size = cell.size
-        intrinsic[cell.index] = derate * size.intrinsic_delay
-        drive_res[cell.index] = derate * size.drive_resistance
-        slew_sens[cell.index] = size.slew_sensitivity
-        slew_intr[cell.index] = derate * size.slew_intrinsic
-        slew_load[cell.index] = derate * size.slew_load_factor
-        is_flop[cell.index] = cell.is_sequential
-        is_inport[cell.index] = cell.is_input_port
-        is_outport[cell.index] = cell.is_output_port
-        if cell.is_sequential:
-            # Clock-to-Q is a real delay and derates with the corner;
-            # setup/hold are constraint values and stay corner-independent.
-            clk_to_q[cell.index] = derate * cell.cell_type.clk_to_q
-            setup[cell.index] = cell.cell_type.setup_time
-            hold[cell.index] = cell.cell_type.hold_time
-        for pin, net_index in enumerate(cell.fanin_nets):
-            if net_index is None:
-                continue
-            driver = netlist.nets[net_index].driver
-            fanin_idx[cell.index, pin] = driver
-            driver_cell = netlist.cells[driver]
-            dist = abs(driver_cell.x - cell.x) + abs(driver_cell.y - cell.y)
-            fanin_wire[cell.index, pin] = wire_coeff * dist
-        if cell.fanout_net is not None:
-            load_cap[cell.index] = netlist.net_load_cap(cell.fanout_net)
+    load_cap = np.zeros(n, dtype=np.float64)
+    drives = view.fanout_net >= 0
+    load_cap[drives] = view.net_load_caps()[view.fanout_net[drives]]
 
-    # CSR fanout adjacency from the dense fanin layout: one edge per valid
-    # (sink, pin), grouped by driver via a stable argsort so each driver's
-    # edge slice preserves (sink, pin) order deterministically.
-    sink_rows, sink_pins = np.nonzero(fanin_idx != _NO_DRIVER)
-    edge_drivers = fanin_idx[sink_rows, sink_pins]
+    is_flop = view.is_flop
+    is_inport = view.is_inport
+    is_outport = view.is_outport
+
+    # CSR fanout adjacency from the dense fanin layout: edges grouped by
+    # driver via a stable argsort so each driver's edge slice preserves
+    # (sink, pin) order deterministically.
     order = np.argsort(edge_drivers, kind="stable")
     fanout_indices = sink_rows[order].astype(np.int64, copy=False)
-    fanout_wire = fanin_wire[sink_rows, sink_pins][order]
+    fanout_wire = edge_wire[order]
     fanout_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_drivers, minlength=n), out=fanout_indptr[1:])
 
@@ -438,7 +427,8 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     for k, level_cells in enumerate(levels):
         level_of[level_cells] = k
 
-    endpoint_cells = np.array(netlist.endpoints(), dtype=np.int64)
+    is_ep = is_flop | is_outport
+    endpoint_cells = np.flatnonzero(is_ep).astype(np.int64, copy=False)
     ep_pos = np.full(n, -1, dtype=np.int64)
     ep_pos[endpoint_cells] = np.arange(endpoint_cells.size, dtype=np.int64)
 
@@ -449,20 +439,22 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
         fanin_idx=fanin_idx,
         fanin_wire_delay=fanin_wire,
         load_cap=load_cap,
-        intrinsic=intrinsic,
-        drive_res=drive_res,
-        slew_sens=slew_sens,
-        slew_intr=slew_intr,
-        slew_load=slew_load,
+        intrinsic=derate * view.size_column("intrinsic_delay"),
+        drive_res=derate * view.size_column("drive_resistance"),
+        slew_sens=view.size_column("slew_sensitivity"),
+        slew_intr=derate * view.size_column("slew_intrinsic"),
+        slew_load=derate * view.size_column("slew_load_factor"),
         is_flop=is_flop,
         is_inport=is_inport,
         is_outport=is_outport,
         is_src=is_src,
         is_comb=~(is_src | is_outport),
-        is_ep=is_flop | is_outport,
-        clk_to_q=clk_to_q,
-        setup=setup,
-        hold=hold,
+        is_ep=is_ep,
+        # Clock-to-Q is a real delay and derates with the corner;
+        # setup/hold are constraint values and stay corner-independent.
+        clk_to_q=derate * view.size_column("clk_to_q"),
+        setup=view.size_column("setup_time"),
+        hold=view.size_column("hold_time"),
         endpoint_cells=endpoint_cells,
         level_of=level_of,
         ep_pos=ep_pos,
