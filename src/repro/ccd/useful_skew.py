@@ -125,10 +125,7 @@ def _optimize_useful_skew(
     eps = config.epsilon
 
     def apparent_map(report) -> Dict[int, float]:
-        return {
-            int(e): float(s)
-            for e, s in zip(report.endpoints, report.slack_with_margins)
-        }
+        return dict(zip(report.endpoints.tolist(), report.slack_with_margins.tolist()))
 
     for _pass in range(config.passes):
         report = analyzer.analyze(clock, margins, include_hold=config.respect_hold)
@@ -188,10 +185,10 @@ def _optimize_useful_skew(
         if config.enable_recovery:
             report = analyzer.analyze(clock, margins)
             apparent = apparent_map(report)
+            flops = np.flatnonzero(analyzer.compiled.is_flop)
+            launch_slack = report.cell_worst_slack_margined[flops].tolist()
             flop_launch = [
-                (float(report.cell_worst_slack_margined[f]), f)
-                for f in analyzer.netlist.sequential_cells()
-                if f not in committed
+                (slack, f) for slack, f in zip(launch_slack, flops.tolist()) if f not in committed
             ]
             flop_launch = sorted(flop_launch)[:window]
             for launch, flop in flop_launch:

@@ -11,7 +11,8 @@ times per flow run.  This module keeps the *last* analysis alive as an
   coefficients / load caps patched), :meth:`TimingAnalyzer.notify_skew`
   (clock arrivals moved) and — as a safety net — from diffing the clock
   model's per-flop arrivals against the cached vector, so an un-notified
-  skew edit can never be read stale;
+  skew edit can never be read stale; the clock's arrival journal limits
+  that diff to the keys written since the last analysis;
 * the **forward pass** seeds a frontier from the dirty cells and walks the
   topological levels in order, recomputing only frontier cells and pruning
   any cell whose ``(arrival, slew)`` pair is unchanged within
@@ -64,14 +65,14 @@ from typing import Any, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import obs
-from repro.timing.clock import ClockModel
+from repro.timing.clock import ArrivalCursor, ClockModel
 from repro.timing.sta import (
     _NO_DRIVER,
     CompiledTiming,
     TimingReport,
-    _backward_required,
     analyze,
     csr_edge_indices,
+    flop_clock_arrivals,
 )
 
 #: A frontier cell whose recomputed arrival *and* slew both moved by no more
@@ -240,9 +241,14 @@ class IncrementalState:
     The cached timing vectors are the canonical state both kernel paths
     read and write in place; topology, levels and delay coefficients are
     *not* mirrored — both paths index the compiled arrays directly, so a
-    ``notify_resize`` coefficient patch is immediately visible.  Reports
-    are assembled as fresh copies, so a caller-held
-    :class:`~repro.timing.sta.TimingReport` never changes retroactively.
+    ``notify_resize`` coefficient patch is immediately visible.
+
+    Report assembly copies the vectors a report holds (cell arrival, slew,
+    true and — when margins apply — margin-aware required times, the
+    endpoint arrays), because the kernels keep mutating them in place; a
+    caller-held :class:`~repro.timing.sta.TimingReport` therefore never
+    changes retroactively.  The per-cell worst slacks are not assembled
+    here: the report derives them from its own copies on first read.
     """
 
     compiled: CompiledTiming
@@ -259,9 +265,13 @@ class IncrementalState:
     #: Margin-aware required view; ``None`` while margins are all zero (the
     #: full engine aliases the true view then, and so do we).
     required_eff: Optional[np.ndarray]
-    #: Flops with a non-zero cached clock arrival (keeps the clock diff
-    #: O(#skewed) instead of O(#flops)).
+    #: Flops with a non-zero cached clock arrival (what a full clock diff
+    #: must visit besides the clock's own keys).
     skewed_flops: Set[int] = field(default_factory=set)
+    #: Read position in the arrival journal of the clock last diffed; the
+    #: next diff visits only the keys written since (see
+    #: :meth:`~repro.timing.clock.ClockModel.written_since`).
+    clock_cursor: Optional[ArrivalCursor] = None
     #: Endpoint positions with a non-zero cached margin (keeps the margin
     #: diff O(#margined)).
     margined: Set[int] = field(default_factory=set)
@@ -284,24 +294,15 @@ def build_state(
 
     clock_arrival = np.zeros(n)
     skewed: Set[int] = set()
-    for f, value in clock.arrivals.items():
-        f = int(f)
-        if 0 <= f < n and compiled.is_flop[f]:
-            clock_arrival[f] = value
-            if value != 0.0:
-                skewed.add(f)
+    for f, value in flop_clock_arrivals(compiled, clock.arrivals):
+        clock_arrival[f] = value
+        if value != 0.0:
+            skewed.add(f)
 
     margin_vec = report.margins.copy()
-    if report.margins.any():
-        # Recompute the margin-aware backward view with the exact same
-        # function and inputs the full engine used, so the cached values are
-        # bitwise identical to what the report's margined view was built
-        # from (it is not recoverable from the report where it is +inf).
-        required_eff: Optional[np.ndarray] = _backward_required(
-            compiled, report.cell_slew, report.required - report.margins
-        )
-    else:
-        required_eff = None
+    required_eff = report.cell_required_margined
+    if required_eff is not None:
+        required_eff = required_eff.copy()
 
     state = IncrementalState(
         compiled=compiled,
@@ -316,6 +317,7 @@ def build_state(
         required_true=report.cell_required.copy(),
         required_eff=required_eff,
         skewed_flops=skewed,
+        clock_cursor=clock.arrival_cursor(),
         margined=set(np.nonzero(margin_vec)[0].tolist()),
     )
     return report, state
@@ -378,16 +380,21 @@ def incremental_analyze(
     # ---- clock diff: the stale-skew safety net ----------------------- #
     # notify_skew() marks moved flops eagerly, but analyze() never trusts
     # it alone — a flop whose arrival differs from the cached vector is
-    # dirtied regardless of whether anyone notified.  Only flops present in
-    # the clock's (sparse) arrival dict or with a non-zero cached value can
-    # differ, so the diff is O(#skewed), not O(#flops).
+    # dirtied regardless of whether anyone notified.  The clock's arrival
+    # journal logs every write, so only keys written since this state's
+    # cursor can differ and the diff is O(changed).  A clock this state has
+    # not read before (another object, a copy, an unpickled clock, a
+    # compacted journal) gets one full diff: every key it holds plus every
+    # flop cached as skewed.
     skewed = state.skewed_flops
-    candidates = set(clock.arrivals)
-    candidates.update(skewed)
-    for f in candidates:
-        if not is_flop[f]:
-            continue
-        value = clock.arrivals.get(f, 0.0)
+    candidates = clock.written_since(state.clock_cursor)
+    if candidates is None:
+        candidates = set(clock.arrivals)
+        candidates.update(skewed)
+    state.clock_cursor = clock.arrival_cursor()
+    visited = flop_clock_arrivals(compiled, clock.arrivals, candidates)
+    obs.incr("sta.clock_diff_flops", len(visited))
+    for f, value in visited:
         if value != ca[f]:
             ca[f] = value
             ep_req_dirty.append(int(ep_pos[f]))
@@ -492,31 +499,19 @@ def incremental_analyze(
         obs.incr("sta.scalar_levels", counters.scalar)
 
     # ---- assemble the report (fresh arrays: the cache keeps mutating) - #
-    arr = arrival.copy()
-    required_true = state.required_true.copy()
-    worst_true = np.where(
-        np.isfinite(required_true), required_true - arr, np.inf
-    )
-    if state.required_eff is None:
-        worst_eff = worst_true.copy()
-    else:
-        required_eff = state.required_eff.copy()
-        worst_eff = np.where(
-            np.isfinite(required_eff), required_eff - arr, np.inf
-        )
     ep_arr = ep_arrival.copy()
     ep_req = ep_required.copy()
+    required_eff = state.required_eff
     report = TimingReport(
         endpoints=compiled.endpoint_cells,
         arrival=ep_arr,
         required=ep_req,
         slack=ep_req - ep_arr,
         margins=margin_vec.copy(),
-        cell_arrival=arr,
+        cell_arrival=arrival.copy(),
         cell_slew=state.slew.copy(),
-        cell_required=required_true,
-        cell_worst_slack=worst_true,
-        cell_worst_slack_margined=worst_eff,
+        cell_required=state.required_true.copy(),
+        cell_required_margined=None if required_eff is None else required_eff.copy(),
     )
     return report, counters.frontier
 

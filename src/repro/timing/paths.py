@@ -41,13 +41,14 @@ def trace_critical_path(
 
     Walks backwards from the endpoint, at each cell following the input pin
     with the largest driver arrival + wire delay, stopping at a launch point
-    (flop or input port).
+    (flop or input port).  ``report`` must come from an analysis of
+    ``compiled``: the endpoint's position in its arrays is read from
+    ``compiled.ep_pos`` (O(1), no scan of the endpoint list).
     """
-    eps = report.endpoints
-    pos = np.nonzero(eps == endpoint_cell)[0]
-    if pos.size == 0:
+    ep_pos = compiled.ep_pos
+    k = int(ep_pos[endpoint_cell]) if 0 <= endpoint_cell < ep_pos.shape[0] else -1
+    if k < 0:
         raise KeyError(f"cell {endpoint_cell} is not an endpoint")
-    k = int(pos[0])
 
     chain = [endpoint_cell]
     current = endpoint_cell

@@ -29,8 +29,8 @@ the compiled view in place, and ``analyze()`` re-propagates incrementally
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -126,12 +126,22 @@ class CompiledTiming:
     derate: float = 1.0
 
 
+def _worst_slack(required: np.ndarray, arrival: np.ndarray) -> np.ndarray:
+    """Worst slack of paths through each cell (+inf where unconstrained)."""
+    return np.where(np.isfinite(required), required - arrival, np.inf)
+
+
 @dataclass
 class TimingReport:
     """Result of one STA run.
 
     ``slack``/``arrival``/``required`` are per *endpoint* in the canonical
     order of ``endpoints``; cell-level quantities are full-length arrays.
+
+    The report owns every array it holds: no engine writes to them after
+    returning it.  The per-cell worst slacks are derived from those arrays
+    on first read and cached, so callers that never read them (the
+    data-path optimizer) never pay the two O(n) passes.
     """
 
     endpoints: np.ndarray  # endpoint cell indices
@@ -142,11 +152,33 @@ class TimingReport:
     cell_arrival: np.ndarray  # output arrival per cell
     cell_slew: np.ndarray  # output slew per cell
     cell_required: np.ndarray  # true output required per cell (+inf if unconstrained)
-    cell_worst_slack: np.ndarray  # true worst slack of paths through each cell
-    cell_worst_slack_margined: np.ndarray  # margin-aware worst slack view
+    #: Margin-aware required view per cell; ``None`` when no margins apply
+    #: (the view then equals ``cell_required``).
+    cell_required_margined: Optional[np.ndarray] = None
     # Hold (min-delay) results; populated only when analyze(..., include_hold=True):
     hold_slack: Optional[np.ndarray] = None  # per endpoint (+inf at ports)
     cell_min_arrival: Optional[np.ndarray] = None  # earliest output arrival
+    _worst_true: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _worst_margined: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def cell_worst_slack(self) -> np.ndarray:
+        """True worst slack of paths through each cell."""
+        if self._worst_true is None:
+            self._worst_true = _worst_slack(self.cell_required, self.cell_arrival)
+        return self._worst_true
+
+    @property
+    def cell_worst_slack_margined(self) -> np.ndarray:
+        """Margin-aware worst slack view (equal to the true one without margins)."""
+        if self._worst_margined is None:
+            required = self.cell_required_margined
+            if required is None:
+                required = self.cell_required
+            self._worst_margined = _worst_slack(required, self.cell_arrival)
+        return self._worst_margined
 
     @property
     def slack_with_margins(self) -> np.ndarray:
@@ -517,6 +549,28 @@ def _levelize(
     return levels
 
 
+def flop_clock_arrivals(
+    compiled: CompiledTiming,
+    arrivals: Mapping[Any, float],
+    keys: Optional[Iterable[Any]] = None,
+) -> List[Tuple[int, float]]:
+    """``(flop, arrival)`` pairs of the clock keys that name a flop here.
+
+    The one rule every engine applies when it reads a clock model: a key
+    counts iff ``0 <= key < n`` and the cell is a flop; anything else
+    (ports, out-of-range or negative keys) carries no clock and is
+    ignored.  ``keys`` restricts the read to those keys (absent ones read
+    as 0.0); by default every key of ``arrivals`` is read.
+    """
+    is_flop = compiled.is_flop
+    n = is_flop.shape[0]
+    if keys is None:
+        items: Iterable[Tuple[Any, float]] = arrivals.items()
+    else:
+        items = [(f, arrivals.get(f, 0.0)) for f in keys]
+    return [(int(f), value) for f, value in items if 0 <= f < n and is_flop[f]]
+
+
 def analyze(
     compiled: CompiledTiming,
     clock: ClockModel,
@@ -541,9 +595,8 @@ def analyze(
     # Clock arrivals are sparse (only skewed flops carry an offset), so fill
     # from the clock model's dict instead of probing all n cells.
     clock_arrival = np.zeros(n)
-    for f, value in clock.arrivals.items():
-        if compiled.is_flop[f]:
-            clock_arrival[f] = value
+    for f, value in flop_clock_arrivals(compiled, clock.arrivals):
+        clock_arrival[f] = value
 
     # ---------------- forward propagation ---------------------------- #
     # Sources: input ports launch at 0, flops at clock + clk_to_q; both then
@@ -623,17 +676,9 @@ def analyze(
     # they may steal and the margin-aware view to prioritize/protect the
     # selected endpoints.
     required_true = _backward_required(compiled, slew, ep_required)
+    required_eff: Optional[np.ndarray] = None
     if ep_margin.any():
         required_eff = _backward_required(compiled, slew, ep_required - ep_margin)
-    else:
-        required_eff = required_true
-
-    worst_slack_true = np.where(
-        np.isfinite(required_true), required_true - arrival, np.inf
-    )
-    worst_slack_eff = np.where(
-        np.isfinite(required_eff), required_eff - arrival, np.inf
-    )
 
     # ---------------- optional hold (min-delay) pass ------------------- #
     hold_slack = None
@@ -661,8 +706,7 @@ def analyze(
         cell_arrival=arrival,
         cell_slew=slew,
         cell_required=required_true,
-        cell_worst_slack=worst_slack_true,
-        cell_worst_slack_margined=worst_slack_eff,
+        cell_required_margined=required_eff,
         hold_slack=hold_slack,
         cell_min_arrival=min_arrival,
     )

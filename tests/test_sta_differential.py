@@ -15,6 +15,9 @@ meaningful without the env var.
 
 from __future__ import annotations
 
+import operator
+import pickle
+
 import numpy as np
 import pytest
 
@@ -299,3 +302,85 @@ def test_flow_results_identical_incremental_on_vs_off(seed):
     assert on.arrival_adjustments == off.arrival_adjustments  # skew schedule
     assert on.skew_result.commits == off.skew_result.commits
     assert on.datapath_result.total_moves == off.datapath_result.total_moves
+
+
+# ---------------------------------------------------------------------- #
+# Clock edits without notify_skew: every write path must reach the diff
+# ---------------------------------------------------------------------- #
+def _warm_skewed(seed: int = 31):
+    """A design, its clock with two skewed flops, and an analyzer whose
+    cached state has read that clock; returns four skewable flops."""
+    netlist, clock = _build(seed)
+    flops = [f for f in netlist.sequential_cells() if clock.bound(f) > 1e-6][:4]
+    assert len(flops) == 4
+    clock.set_arrival(flops[0], 0.5 * clock.bound(flops[0]))
+    clock.set_arrival(flops[1], -0.5 * clock.bound(flops[1]))
+    analyzer = TimingAnalyzer(netlist, incremental=True)
+    analyzer.analyze(clock)
+    return netlist, clock, analyzer, flops
+
+
+#: Every way to write a clock's arrivals, none of them followed by
+#: notify_skew.  Each changes at least one flop's arrival.
+_UNNOTIFIED_CLOCK_WRITES = {
+    "set_arrival": lambda c, fl: c.set_arrival(fl[2], -0.5 * c.bound(fl[2])),
+    "adjust_arrival": lambda c, fl: c.adjust_arrival(fl[0], -0.25 * c.bound(fl[0])),
+    "setitem": lambda c, fl: c.arrivals.__setitem__(fl[3], 0.3 * c.bound(fl[3])),
+    "delitem": lambda c, fl: c.arrivals.__delitem__(fl[0]),
+    "pop": lambda c, fl: c.arrivals.pop(fl[1]),
+    "popitem": lambda c, fl: c.arrivals.popitem(),
+    "update": lambda c, fl: c.arrivals.update({fl[0]: 0.0, fl[2]: 0.2 * c.bound(fl[2])}),
+    "ior": lambda c, fl: operator.ior(c.arrivals, {fl[1]: 0.1 * c.bound(fl[1])}),
+    "setdefault": lambda c, fl: c.arrivals.setdefault(fl[3], 0.4 * c.bound(fl[3])),
+    "clear": lambda c, fl: c.arrivals.clear(),
+    "reassign": lambda c, fl: setattr(c, "arrivals", {fl[3]: 0.1 * c.bound(fl[3])}),
+}
+
+
+@pytest.mark.parametrize("write", sorted(_UNNOTIFIED_CLOCK_WRITES))
+def test_unnotified_clock_write_cannot_be_read_stale(write):
+    netlist, clock, analyzer, flops = _warm_skewed()
+    before = dict(clock.arrivals)
+    _UNNOTIFIED_CLOCK_WRITES[write](clock, flops)
+    assert dict(clock.arrivals) != before, f"{write} changed no arrival"
+    _assert_matches_full(netlist, analyzer, clock, None, f"after {write}")
+    # The diff's read position moved past the write: a further edit is
+    # picked up too, and a repeat analysis with no edit stays equal.
+    clock.adjust_arrival(flops[2], 0.125 * clock.bound(flops[2]))
+    _assert_matches_full(netlist, analyzer, clock, None, f"{write} then adjust")
+    _assert_matches_full(netlist, analyzer, clock, None, f"{write} repeat")
+
+
+def test_fresh_clock_on_warm_analyzer_matches_full():
+    """A different ClockModel object: flops skewed in the old clock but
+    absent from the new one must return to zero arrival."""
+    netlist, clock, analyzer, flops = _warm_skewed()
+    fresh = ClockModel.for_netlist(netlist, clock.period)
+    fresh.set_arrival(flops[2], 0.5 * fresh.bound(flops[2]))
+    _assert_matches_full(netlist, analyzer, fresh, None, "fresh clock")
+    _assert_matches_full(netlist, analyzer, clock, None, "back to the old clock")
+
+
+def test_clock_copy_matches_full():
+    netlist, clock, analyzer, flops = _warm_skewed()
+    copy = clock.copy()
+    copy.adjust_arrival(flops[0], -0.5 * copy.bound(flops[0]))
+    _assert_matches_full(netlist, analyzer, copy, None, "edited copy")
+    # The original kept its own arrivals; writes to it after the copy are
+    # not the copy's, and switching back diffs the original in full.
+    clock.set_arrival(flops[3], 0.25 * clock.bound(flops[3]))
+    _assert_matches_full(netlist, analyzer, clock, None, "original after copy")
+    _assert_matches_full(netlist, analyzer, copy, None, "copy again")
+
+
+@pytest.mark.parametrize("protocol", (2, pickle.HIGHEST_PROTOCOL))
+def test_pickled_clock_matches_full(protocol):
+    """The rollout pool ships clocks and designs pickled; the round-tripped
+    clock is a new journal, so the first analysis diffs it in full."""
+    netlist, clock, analyzer, flops = _warm_skewed()
+    clock.adjust_arrival(flops[1], 0.75 * clock.bound(flops[1]))  # not analyzed yet
+    shipped = pickle.loads(pickle.dumps(clock, protocol=protocol))
+    assert shipped.arrivals == clock.arrivals
+    _assert_matches_full(netlist, analyzer, shipped, None, "unpickled clock")
+    shipped.set_arrival(flops[3], -0.5 * shipped.bound(flops[3]))
+    _assert_matches_full(netlist, analyzer, shipped, None, "unpickled clock edited")
